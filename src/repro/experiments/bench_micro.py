@@ -27,6 +27,11 @@ dispatches and wall time are reported alongside for transparency.
   the per-hop candidate search (ancestor-indexed walk vs linear scans
   over hosted + cache state); the large case is the one that gates
   scaled-up ``fig9`` runs.
+* ``routing_churn`` -- ``decide()`` with paper-scale cache churn:
+  14 levels, 1,024 servers, a 26-slot cache and about four
+  path-propagation ``put`` calls per decision, so the number includes
+  what cache inserts, evictions and touches cost the ancestor index
+  (the ``routing_decide_*`` scenarios never mutate).
 * ``shard_window`` -- the ``end_to_end`` workload on the 2-shard
   windowed coordinator (inline backend, so the number isolates the
   windowed protocol's overhead: barriers, egress exchange, stats-log
@@ -244,6 +249,49 @@ def bench_routing_decide_large() -> Dict[str, float]:
     )
 
 
+def bench_routing_churn() -> Dict[str, float]:
+    """decide() interleaved with path-propagation cache churn.
+
+    Paper-scale shape: a 14-level namespace on 1,024 servers (32 owned
+    nodes each), a 26-slot cache, and before every decision about four
+    ``put`` calls for nodes on a walked path -- inserts that evict, plus
+    re-puts that touch.  The ``routing_decide_*`` scenarios hold the
+    cache still; this one makes the ancestor index pay for its
+    mutations, which dominate at paper scale.
+    """
+    from repro.core.routing import decide
+
+    ns = balanced_tree(levels=14)
+    cfg = SystemConfig.replicated(n_servers=1024, seed=13, cache_slots=26)
+    system = build_system(ns, cfg, stats=NullSink())
+    peer = system.peers[0]
+    owner = system.owner
+    rng = random.Random(19)
+    n = len(ns)
+    n_queries = 6000
+    # each query's walked path: 2-6 nodes spread over the part of the
+    # tree route (random source toward the destination) covered so far
+    work = []
+    for _ in range(n_queries):
+        dest = rng.randrange(n)
+        route = ns.route_path(rng.randrange(n), dest)
+        k = rng.randint(2, 6)
+        walked = rng.randint(1, len(route))
+        path = [route[j * walked // k] for j in range(k)]
+        work.append(([(v, (owner[v],)) for v in path
+                      if not peer.hosts(v)], dest))
+    put = peer.cache.put
+    t0 = time.perf_counter()
+    for path, dest in work:
+        for v, servers in path:
+            put(v, servers)
+        decide(peer, dest)
+    wall = time.perf_counter() - t0
+    return {"events": n_queries, "engine_events": 0,
+            "wall_s": wall, "events_per_sec": n_queries / wall,
+            "mem_bytes": deep_sizeof(system)}
+
+
 def bench_shard_window() -> Dict[str, float]:
     """The ``end_to_end`` workload under the 2-shard windowed loop.
 
@@ -397,6 +445,7 @@ SIM_SCENARIOS: Dict[str, Callable[[], Dict[str, float]]] = {
     "client_load": bench_client_load,
     "routing_decide_small": bench_routing_decide_small,
     "routing_decide_large": bench_routing_decide_large,
+    "routing_churn": bench_routing_churn,
     "shard_window": bench_shard_window,
     "shard_egress_codec": bench_shard_egress_codec,
     "shard_multicore": bench_shard_multicore,

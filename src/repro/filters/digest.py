@@ -30,7 +30,7 @@ class Digest:
     mutation so remote snapshots can be ordered.
     """
 
-    __slots__ = ("_bloom", "version", "owner_server")
+    __slots__ = ("_bloom", "version", "owner_server", "_snap")
 
     def __init__(
         self,
@@ -42,6 +42,8 @@ class Digest:
         self._bloom = BloomFilter.with_capacity(capacity, fp_rate, salt=salt)
         self.version = 0
         self.owner_server = owner_server
+        # the last snapshot handed out, reused until the version moves
+        self._snap: Optional[Tuple[int, Snapshot]] = None
 
     @property
     def bloom(self) -> BloomFilter:
@@ -63,9 +65,17 @@ class Digest:
     def __contains__(self, node: int) -> bool:
         return node in self._bloom
 
-    def snapshot(self) -> Tuple[int, int]:
-        """A ``(version, bits)`` pair cheap enough to piggyback anywhere."""
-        return (self.version, self._bloom.snapshot())
+    def snapshot(self) -> Tuple[int, Snapshot]:
+        """A ``(version, bits)`` pair cheap enough to piggyback anywhere.
+
+        Every forward and response carries one, so the pair is built
+        once per version and shared (it is immutable) until the next
+        mutation bumps the version.
+        """
+        snap = self._snap
+        if snap is None or snap[0] != self.version:
+            snap = self._snap = (self.version, self._bloom.snapshot())
+        return snap
 
     def test_snapshot(self, snap: Tuple[int, int], node: int) -> bool:
         """Test ``node`` against a snapshot taken from a same-geometry digest."""

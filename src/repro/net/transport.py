@@ -288,18 +288,23 @@ class ShardTransport(Transport):
         self._drain_at = at
 
     def _drain(self) -> None:
-        """Deliver every ring entry due now, then re-arm for the head."""
+        """Deliver every ring entry due now, then re-arm for the head.
+
+        The handle stays set while delivering, so sends made by the
+        handlers append to the ring without arming a drain of their own
+        (one live drain event per transport, as in the base ring).
+        """
         ring = self._ring
         now = self.engine.now
         failed = self.failed
         endpoints = self._endpoints
-        self._drain_handle = None
         while ring and ring[0][0] <= now:
             _, _, _, dest, msg = ring.popleft()
             if dest in failed:
                 self._lose(dest, msg)
             else:
                 endpoints[dest](msg)
+        self._drain_handle = None
         if ring:
             self._arm(ring[0][0])
 

@@ -49,6 +49,17 @@ class TestDigest:
         v2, _ = d1.snapshot()
         assert v2 > v
 
+    def test_snapshot_reused_until_version_moves(self, digests):
+        _, d1, _ = digests
+        d1.add(3)
+        snap = d1.snapshot()
+        assert d1.snapshot() is snap
+        assert snap == (d1.version, tuple(d1.bloom.words))
+        d1.rebuild([4])
+        fresh = d1.snapshot()
+        assert fresh is not snap
+        assert fresh == (d1.version, tuple(d1.bloom.words))
+
 
 class TestDirectory:
     def test_observe_and_test(self, digests):

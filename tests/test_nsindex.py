@@ -5,7 +5,8 @@ the winner is the first member in mirrored order at a strictly smaller
 distance (``repro.core.routing.closest_hosted`` / ``scan_cache`` are
 the reference implementations).  These tests pin the contract three
 ways: direct unit tests, randomized cross-checks against an explicit
-ordered-list scan, and end-of-workload equivalence on live peers.
+ordered-list scan (queried after every mutation, directly and through
+a real ``LRUCache``), and end-of-workload equivalence on live peers.
 """
 
 import random
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
+from repro.core import nsindex
 from repro.core.nsindex import NO_BOUND, AncestorIndex
 from repro.core.routing import RouteAction, closest_hosted, decide, scan_cache
 from repro.namespace.generators import balanced_tree, university_tree
+from repro.server.cache import LRUCache
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import cuzipf_stream
 
@@ -157,31 +160,54 @@ class _OrderMirror:
             self.order.remove(v)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["add", "touch", "remove"]),
-                          st.integers(0, 62)),
-                max_size=120),
-       st.integers(0, 2**32 - 1))
-def test_index_matches_reference_scan(ops, seed):
-    """Randomized op sequences: every (dest, bound) query agrees with
-    the explicit ordered-list scan."""
-    ns = balanced_tree(levels=5)  # 63 nodes
-    idx = AncestorIndex(ns)
-    ref = _OrderMirror()
-    for op, v in ops:
-        if op == "add":
-            if v in idx:
-                idx.touch(v)
-                ref.touch(v)
-            else:
-                idx.add(v)
-                ref.add(v)
-        elif op == "touch":
+def _apply(idx, ref, op, v):
+    if op == "add":
+        if v in idx:
             idx.touch(v)
             ref.touch(v)
         else:
-            idx.remove(v)
-            ref.remove(v)
+            idx.add(v)
+            ref.add(v)
+    elif op == "touch":
+        idx.touch(v)
+        ref.touch(v)
+    else:
+        idx.remove(v)
+        ref.remove(v)
+
+
+def _assert_bounded(idx):
+    """The young set and the indexed members partition the members,
+    and compaction keeps stale bucket entries from outgrowing the live
+    ones."""
+    assert set(idx._young) <= set(idx._members)
+    stale = idx._entries - idx._live
+    assert stale <= max(idx._live, nsindex.COMPACT_MIN)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["add", "touch", "remove"]),
+                          st.integers(0, 62), st.integers(0, 62),
+                          st.integers(0, 12)),
+                max_size=150),
+       st.integers(0, 60), st.integers(0, 2**32 - 1))
+def test_index_matches_reference_scan(steps, n_build, seed):
+    """Randomized op sequences: every (dest, bound) query agrees with
+    the explicit ordered-list scan.  The first ``n_build`` mutations
+    run before any query (the build-time fill); after that a query
+    follows every mutation, because the lazy state (young scan,
+    flushes, stale heads) moves only on queries."""
+    ns = balanced_tree(levels=5)  # 63 nodes
+    idx = AncestorIndex(ns)
+    ref = _OrderMirror()
+    for i, (op, v, dest, bound) in enumerate(steps):
+        _apply(idx, ref, op, v)
+        if i < n_build:
+            continue
+        bound = bound if bound else NO_BOUND
+        assert idx.closest(dest, bound) == ref_closest(
+            ns, ref.order, dest, bound)
+        _assert_bounded(idx)
     assert sorted(idx.nodes()) == sorted(ref.order)
     rng = random.Random(seed)
     for _ in range(20):
@@ -189,6 +215,167 @@ def test_index_matches_reference_scan(ops, seed):
         bound = rng.choice([NO_BOUND, rng.randrange(1, 12)])
         assert idx.closest(dest, bound) == ref_closest(
             ns, ref.order, dest, bound)
+
+
+class _CachePeer:
+    """What :func:`scan_cache` reads of a peer."""
+
+    def __init__(self, ns, capacity):
+        self.ns = ns
+        self.cache = LRUCache(capacity, rmap=2, index=AncestorIndex(ns))
+
+
+_CACHE_OPS = st.tuples(
+    st.sampled_from(["put", "get", "touch", "replace", "drop", "remove",
+                     "remove_server"]),
+    st.integers(0, 62), st.integers(0, 3), st.integers(0, 62),
+    st.integers(0, 12))
+
+
+def _cache_step(cache, op, v, server):
+    if op == "put":
+        cache.put(v, [server, server + 4])
+    elif op == "get":
+        cache.get(v)
+    elif op == "touch":
+        cache.touch(v)
+    elif op == "replace":
+        cache.replace(v, [server + 1])
+    elif op == "drop":
+        cache.replace(v, [])
+    elif op == "remove":
+        cache.remove(v)
+    else:
+        cache.remove_server(v, server)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_CACHE_OPS, max_size=150), st.integers(1, 12))
+def test_cache_index_matches_scan_after_every_step(steps, capacity):
+    """The index driven through a real LRUCache (inserts, merges,
+    touches, in-place replaces, evictions, removals) answers exactly
+    what scan_cache answers over the OrderedDict, after every step."""
+    ns = balanced_tree(levels=5)
+    peer = _CachePeer(ns, capacity)
+    cache = peer.cache
+    for op, v, server, dest, bound in steps:
+        _cache_step(cache, op, v, server)
+        bound = bound if bound else NO_BOUND
+        assert cache.index.closest(dest, bound) == scan_cache(
+            peer, dest, bound)
+        _assert_bounded(cache.index)
+    assert list(sorted(cache.index.nodes())) == sorted(cache.nodes())
+
+
+class TestLaziness:
+    """Which members wait in the young set and when they are indexed
+    (the answers are covered above; this pins the cost policy)."""
+
+    def test_build_time_adds_are_indexed(self, ns):
+        idx = AncestorIndex(ns)
+        for v in (3, 9, 20):
+            idx.add(v)
+        assert not idx._young and idx._buckets
+
+    def test_add_waits_young_until_flush_age(self, ns):
+        idx = AncestorIndex(ns, [1])
+        idx.closest(0)
+        idx.add(40)
+        assert 40 in idx._young
+        for _ in range(nsindex.FLUSH_AGE - 1):
+            idx.closest(5)
+        assert 40 in idx._young
+        idx.closest(5)
+        assert 40 not in idx._young
+        assert idx.closest(40) == (40, 0)
+
+    def test_overflow_flushes_the_young_set(self):
+        ns = balanced_tree(levels=7)
+        idx = AncestorIndex(ns, [0])
+        idx.closest(0)
+        for v in range(1, nsindex.YOUNG_MAX + 1):
+            idx.add(v)
+        assert len(idx._young) == nsindex.YOUNG_MAX
+        idx.add(nsindex.YOUNG_MAX + 1)
+        assert not idx._young
+
+    def test_touch_young_restamps_touch_indexed_reindexes(self, ns):
+        idx = AncestorIndex(ns, [1, 2])
+        idx.closest(0)
+        idx.add(7)
+        idx.add(8)
+        idx.touch(7)
+        assert list(idx._young) == [8, 7]
+        live = idx._live
+        idx.touch(1)
+        assert 1 not in idx._young and idx._live == live
+
+    def test_remove_leaves_stale_entries(self, ns):
+        idx = AncestorIndex(ns, [30, 31])
+        entries = idx._entries
+        idx.remove(30)
+        assert idx._entries == entries
+        assert idx._live == entries - ns.depth[30] - 1
+        assert idx.closest(30) == ref_closest(ns, [31], 30)
+
+
+class TestLongChurn:
+    """Long deterministic runs that force every lazy transition: aged
+    and overflow flushes, stale heads dropped by queries, and
+    compaction -- checked against the reference after every step."""
+
+    def test_cache_churn(self):
+        ns = balanced_tree(levels=7)  # 127 nodes
+        rng = random.Random(5)
+        peer = _CachePeer(ns, capacity=nsindex.YOUNG_MAX + 8)
+        cache = peer.cache
+        idx = cache.index
+        seen = {"flushed": False, "compacted": False}
+        for step in range(6000):
+            # path-propagation shape: a few puts, then a query, with a
+            # quiet phase in the middle that lets members age into the
+            # buckets before churn retires them again
+            quiet = 2000 <= step < 2600
+            if not quiet:
+                for _ in range(rng.randrange(1, 5)):
+                    entries = idx._entries
+                    v = rng.randrange(len(ns))
+                    if rng.random() < 0.8:
+                        cache.put(v, [rng.randrange(8)])
+                    else:
+                        cache.get(v)
+                    if idx._entries < entries:
+                        seen["compacted"] = True
+            dest = rng.randrange(len(ns))
+            bound = rng.choice([NO_BOUND, rng.randrange(1, 14)])
+            assert idx.closest(dest, bound) == scan_cache(peer, dest, bound)
+            seen["flushed"] |= bool(idx._buckets)
+            _assert_bounded(idx)
+        assert seen == {"flushed": True, "compacted": True}
+
+    def test_hosted_list_churn(self):
+        """The replica-store shape: a build-time fill, then replicas
+        installed and evicted while most members live forever."""
+        ns = balanced_tree(levels=7)
+        rng = random.Random(9)
+        owned = rng.sample(range(len(ns)), 24)
+        idx = AncestorIndex(ns)
+        ref = _OrderMirror()
+        for v in owned:
+            idx.add(v)  # before any query: indexed on arrival
+            ref.add(v)
+        assert not idx._young and idx._live
+        compacted = False
+        for step in range(4000):
+            v = rng.randrange(len(ns))
+            if v not in owned:
+                entries = idx._entries
+                _apply(idx, ref, "remove" if v in idx else "add", v)
+                compacted |= idx._entries < entries
+            dest = rng.randrange(len(ns))
+            assert idx.closest(dest) == ref_closest(ns, ref.order, dest)
+            _assert_bounded(idx)
+        assert compacted
 
 
 class TestLiveEquivalence:

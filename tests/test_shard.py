@@ -239,6 +239,36 @@ class TestShardTransport:
         with pytest.raises(ShardError):
             tr.fail_server(3)  # lives on shard 1
 
+    def test_one_live_drain_event_while_handlers_send(self):
+        """Sends made during a drain append to the ring; they must not
+        arm drain events of their own (a chain of duplicates)."""
+        eng = Engine()
+        tr = ShardTransport(eng, 0.025, shard_id=0, n_shards=1,
+                            n_servers=2)
+        seen = []
+
+        def live_drains():
+            return sum(
+                1 for _, _, h, fn, _ in eng._heap
+                if fn == tr._drain and not (h is not None and h.cancelled)
+            )
+
+        def relay(sid):
+            def handler(hops):
+                if hops:
+                    tr.send(1 - sid, hops - 1)
+                    tr.send(sid, hops - 1)
+                seen.append(live_drains())
+            return handler
+
+        for sid in (0, 1):
+            tr.register(sid, relay(sid))
+        tr.send(0, 6)
+        eng.run()
+        assert len(seen) == 2 ** 7 - 1  # every message delivered
+        assert max(seen) == 0  # no drain armed mid-delivery
+        assert eng.n_dispatched == 7  # one drain per delivery time
+
 
 # ----------------------------------------------------------------------
 # the determinism contract
@@ -277,6 +307,22 @@ class TestShardedDeterminism:
                                   backend="process").run(until)
         assert json.dumps(run_fingerprint(run), sort_keys=True) == \
             json.dumps(ref, sort_keys=True)
+
+    def test_one_shard_dispatches_the_serial_event_count(self):
+        """A 1-shard windowed run schedules the serial engine's events:
+        its ring holds one armed drain, like the serial transport's
+        (the last drain may differ by one).  The load keeps the ring
+        busy, so duplicate drains could not die out on an empty ring."""
+        ns = balanced_tree(levels=8)
+        cfg = SystemConfig.replicated(n_servers=32, seed=11,
+                                      cache_slots=12, rmap=3, rfact=2.0)
+        spec = uzipf_stream(rate=1500.0, duration=2.0, alpha=1.0, seed=11)
+        until = spec.duration + 1.0
+        serial = serial_run(ns, cfg, spec, until)
+        run = WindowedCoordinator(ns, cfg, spec, 1,
+                                  backend="inline").run(until)
+        assert abs(run.engine.n_dispatched
+                   - serial.engine.n_dispatched) <= 1
 
     def test_merged_run_shape(self):
         ns, cfg, spec, until = fig3_style()
